@@ -10,10 +10,10 @@ best-of-``--repeats`` per side, so background noise hits both equally):
   shaped workload — for both the RF and the histogram-GBDT serving
   defaults, at single-row (one vehicle) and 64-row (stacked fleet
   batch) shapes;
-* the engine's group-batched ``predict_all`` (one kernel call per
-  shared model identity) beats per-vehicle dispatch
-  (``EngineConfig(batched_predict=False)``) on a warm cold-start-heavy
-  fleet, where most vehicles share the fleet-wide ``Model_Uni``;
+* one grouped ``service.predict_batch(ids)`` call (one kernel call per
+  shared model object) beats per-id ``service.predict_batch([id])``
+  calls on the same warm cold-start-heavy fleet, where most vehicles
+  share the fleet-wide ``Model_Uni``;
 * every batched forecast is **bit-identical** to the serial
   ``MaintenancePredictionService.predict`` path, and every compiled
   champion reproduces ``reference_predict`` byte-for-byte on its own
@@ -54,9 +54,8 @@ def synthetic_fleet(n_vehicles: int) -> dict[str, np.ndarray]:
 
     1/6 of the fleet are OLD donors (~1.7M cumulative >> t_v) serving
     their own champions; the rest are NEW (10 days, < t_v/2) and all
-    share the fleet-wide ``Model_Uni`` — the batched path stacks them
-    into one kernel call while per-vehicle dispatch predicts them one
-    by one.
+    share the fleet-wide ``Model_Uni`` — one grouped batch stacks them
+    into one kernel call while per-id batches predict them one by one.
     """
     rng = np.random.default_rng(0)
     n_old = max(2, n_vehicles // 6)
@@ -125,14 +124,12 @@ def kernel_microbench(repeats: int, inner: int):
     return results
 
 
-def build_engine(usage, *, batched: bool) -> FleetEngine:
+def build_engine(usage) -> FleetEngine:
     engine = FleetEngine(
         t_v=T_V,
         window=WINDOW,
         algorithm="RF",
-        config=EngineConfig(
-            max_workers=1, executor="serial", batched_predict=batched
-        ),
+        config=EngineConfig(max_workers=1, executor="serial"),
     )
     engine.register_fleet(usage)
     for vehicle_id, series in usage.items():
@@ -141,18 +138,29 @@ def build_engine(usage, *, batched: bool) -> FleetEngine:
 
 
 def fleet_bench(usage, repeats: int):
-    """Warm-fleet predict_all seconds: batched vs per-vehicle dispatch."""
-    timings = {}
-    forecasts = {}
-    for batched in (False, True):
-        engine = build_engine(usage, batched=batched)
-        forecasts[batched] = engine.predict_all()  # trains + warms caches
-        best = float("inf")
-        for _ in range(repeats):
+    """Warm-fleet seconds: per-id batches vs one grouped batch.
+
+    Keyed ``False`` (per-id ``predict_batch([id])`` calls) and ``True``
+    (one ``predict_batch(ids)``); both run on the same warm service,
+    interleaved, best-of-``repeats`` per side.
+    """
+    engine = build_engine(usage)
+    engine.predict_all()  # trains + warms caches
+    service = engine.service
+    ids = sorted(usage)
+    runs = {
+        False: lambda: [service.predict_batch([v])[0] for v in ids],
+        True: lambda: service.predict_batch(ids),
+    }
+    forecasts = {grouped: run() for grouped, run in runs.items()}
+    timings = {grouped: float("inf") for grouped in runs}
+    for _ in range(repeats):
+        for grouped, run in runs.items():
             started = time.perf_counter()
-            engine.predict_all()
-            best = min(best, time.perf_counter() - started)
-        timings[batched] = best
+            run()
+            timings[grouped] = min(
+                timings[grouped], time.perf_counter() - started
+            )
     return timings, forecasts
 
 
@@ -259,16 +267,16 @@ def main(argv: list[str] | None = None) -> int:
     fleet_speedup = timings[False] / timings[True]
     lines += [
         "",
-        f"fleet predict_all ({n_old} OLD + {vehicles - n_old} NEW "
+        f"fleet predict_batch ({n_old} OLD + {vehicles - n_old} NEW "
         "vehicles, warm models):",
-        f"  per-vehicle dispatch: {timings[False] * 1e3:8.2f} ms",
-        f"  group-batched       : {timings[True] * 1e3:8.2f} ms"
+        f"  per-id batches: {timings[False] * 1e3:8.2f} ms",
+        f"  grouped batch : {timings[True] * 1e3:8.2f} ms"
         f"   ({fleet_speedup:.2f}x)",
     ]
     if fleet_speedup <= 1.0:
         failures.append(
-            f"group-batched predict_all is {fleet_speedup:.2f}x per-vehicle "
-            "dispatch (must be faster)"
+            f"grouped predict_batch is {fleet_speedup:.2f}x per-id batches "
+            "(must be faster)"
         )
 
     reference = serial_forecasts(usage)
@@ -277,17 +285,15 @@ def main(argv: list[str] | None = None) -> int:
     row_mismatches, rows_checked = champion_row_identity(usage)
     lines += [
         "",
-        f"forecast identity vs serial service: batched={batched_identical} "
-        f"per-vehicle={unbatched_identical}",
+        f"forecast identity vs serial service: grouped={batched_identical} "
+        f"per-id={unbatched_identical}",
         f"served-model rows diverging from reference_predict: "
         f"{row_mismatches}/{rows_checked}",
     ]
     if not batched_identical:
-        failures.append("batched forecasts diverged from the serial service")
+        failures.append("grouped forecasts diverged from the serial service")
     if not unbatched_identical:
-        failures.append(
-            "per-vehicle forecasts diverged from the serial service"
-        )
+        failures.append("per-id forecasts diverged from the serial service")
     if row_mismatches:
         failures.append(
             f"{row_mismatches} champion(s) diverged from reference_predict "

@@ -344,10 +344,13 @@ def compile_model(model):
     :class:`BaselinePredictor`.  Raises :class:`CompileError` for
     anything else (use :func:`try_compile` for a ``None`` fallback).
 
-    The returned kernel's ``predict(X)`` is bit-identical to the
-    reference model's ``predict`` on the same ``X``; kernels with
-    ``batch_safe = True`` additionally guarantee that row ``i`` of a
-    stacked batch equals the single-row prediction of row ``i``.
+    Forests and boosting models return their cached fused kernel
+    (:func:`ensemble_kernel` / :func:`gbdt_kernel`), so node tables are
+    flattened once per fit.  The returned kernel's ``predict(X)`` is
+    bit-identical to the reference model's ``predict`` on the same
+    ``X``; kernels with ``batch_safe = True`` additionally guarantee
+    that row ``i`` of a stacked batch equals the single-row prediction
+    of row ``i``.
     """
     # Imports are local: these modules import this one for their own
     # fused predict paths, so a module-level import would be circular.
@@ -368,11 +371,7 @@ def compile_model(model):
         return _CompiledBaseline(model.average_)
     if isinstance(model, RandomForestRegressor):
         _require_fitted(model, "estimators_")
-        return _CompiledTrees(
-            [tree.tree_ for tree in model.estimators_],
-            model.n_features_in_,
-            aggregate="mean",
-        )
+        return ensemble_kernel(model)
     if isinstance(model, DecisionTreeRegressor):
         _require_fitted(model, "tree_")
         return _CompiledTrees(
@@ -380,7 +379,7 @@ def compile_model(model):
         )
     if isinstance(model, HistGradientBoostingRegressor):
         _require_fitted(model, "estimators_")
-        return _CompiledGBDT(model)
+        return gbdt_kernel(model)
     if isinstance(model, Pipeline):
         _require_fitted(model, "fitted_")
         stages = []

@@ -9,10 +9,10 @@ surfaces the repo grew across PRs 1–3:
   health, drift and cache statistics join the consolidated
   ``/v1/metrics`` snapshot;
 * :class:`~repro.obs.tracing.Tracer` — per-request structured trace
-  spans propagated from the gateway's HTTP handler through the
-  micro-batch dispatcher, ``FleetEngine.predict_many``, the Section-4
-  strategy ladder and ``ModelStore`` reads, served by
-  ``GET /v1/trace/{request_id}``;
+  spans: the gateway's HTTP handler opens the root, and the
+  micro-batch dispatcher records each request's ``engine.predict``
+  child (with the ``fallback`` event of a degraded forecast), served
+  by ``GET /v1/trace/{request_id}``;
 * :class:`~repro.obs.events.EventLog` — a bounded ring of structured
   records exported as JSON lines (``repro obs`` CLI subcommand);
 * :class:`Observability` — the facade bundling the three, with

@@ -20,13 +20,12 @@ Propagation rules:
 * into the gateway's engine worker thread, the gateway copies the
   caller's context (``contextvars.copy_context``);
 * across the micro-batch queue — where one ``predict_many`` call
-  serves several requests with *different* traces — the gateway
-  carries each request's span object explicitly; the engine's worker
-  threads capture plain timestamps and the dispatching thread records
-  each request's ``engine.predict`` child via
-  :meth:`Tracer.record_span` (resilient services instead
-  :func:`activate` the span inside the worker so ladder events attach
-  live).
+  serves several requests with *different* traces — nothing crosses
+  into the engine: once the batch returns, the gateway records each
+  traced request's ``engine.predict`` child from the batch timing via
+  :meth:`Tracer.record_span`, and a ``fallback`` event on the request's
+  root span when the served Forecast is degraded.  In-process and
+  sharded lanes share this path.
 
 Completed traces are held in a bounded ring (oldest evicted) and served
 by ``GET /v1/trace/{request_id}``.
@@ -46,7 +45,6 @@ __all__ = [
     "current_span",
     "add_event",
     "activate",
-    "child_span",
     "span",
 ]
 
@@ -70,9 +68,8 @@ def add_event(name: str, **attributes) -> None:
 class activate:
     """Make ``target`` the active span in this context.
 
-    The engine uses this to re-establish a request's trace inside a
-    worker thread where the gateway's context did not propagate (each
-    request of a micro-batch carries its own span object).
+    The gateway uses this to make a request's root span the parent of
+    everything its handler opens.
 
     A ``__slots__`` context-manager class, not a generator: this sits
     on the per-prediction hot path and the generator protocol costs
@@ -94,46 +91,6 @@ class activate:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._token is not None:
             _ACTIVE.reset(self._token)
-        return False
-
-
-class child_span:
-    """Open a child of an *explicit* parent and make it active.
-
-    The micro-batch hop: one ``predict_many`` call serves requests
-    with different traces, so the engine cannot rely on its calling
-    context — each request's root span travels explicitly and this
-    creates and activates the child in one step (a single ContextVar
-    write instead of an :class:`activate` + :class:`span` pair).  A
-    ``None`` parent makes the whole thing a no-op.
-    """
-
-    __slots__ = ("parent", "name", "attributes", "_child", "_token")
-
-    def __init__(self, parent: "Span | None", name: str, **attributes):
-        self.parent = parent
-        self.name = name
-        self.attributes = attributes
-
-    def __enter__(self) -> "Span | None":
-        parent = self.parent
-        if parent is None:
-            self._child = None
-            return None
-        child = parent.tracer._start_span(self.name, parent, self.attributes)
-        self._child = child
-        self._token = _ACTIVE.set(child)
-        return child
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        child = self._child
-        if child is None:
-            return False
-        _ACTIVE.reset(self._token)
-        if exc_type is not None:
-            child.finish(f"error: {exc_type.__name__}")
-        elif child.end_s is None:
-            child.finish("ok")
         return False
 
 
@@ -338,12 +295,11 @@ class Tracer:
     ) -> None:
         """Record an already-completed span from explicit timestamps.
 
-        The engine's batched hot path uses this: worker threads capture
-        plain ``perf_counter`` pairs (touching a shared span object
-        from several threads costs an order of magnitude more than the
-        span machinery itself), and the dispatcher thread materialises
-        the spans afterwards in one tight loop — as finished-span
-        tuples directly, no intermediate Span object.
+        The gateway's micro-batch path uses this: the batch runs
+        without touching any span object, and the dispatcher
+        materialises each request's span afterwards in one tight loop
+        — as finished-span tuples directly, no intermediate Span
+        object.
         """
         sink = parent._sink
         if sink is None:

@@ -12,9 +12,14 @@ methodology to fleet-sized traffic without changing a single predicted
   retrained through a :class:`~repro.serving.executor.FleetExecutor`
   (threads by default, process pool opt-in) and installed in
   deterministic vehicle order;
-* **batch prediction** — :meth:`FleetEngine.predict_all` fans
-  per-vehicle forecasts out over threads and returns them sorted by
-  vehicle id.
+* **batch prediction** — :meth:`FleetEngine.predict_all` and
+  :meth:`FleetEngine.predict_many` are one
+  :meth:`~repro.serving.service.MaintenancePredictionService.
+  predict_batch` call each, on the calling thread: vehicles sharing a
+  model are stacked into one compiled-kernel call, and forecasts come
+  back sorted by vehicle id.  Tracing a request's share of a batch is
+  the gateway's job (it records ``engine.predict`` from the batch
+  timing).
 
 Serial-equivalence contract: every forecast is bit-identical to what
 the plain serial service would produce on the same history, because
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import threading
-import time
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ from ..core.categorize import VehicleCategory
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
 from ..dataprep.transformation import build_relational_dataset
-from ..obs import NULL_STAGE, Observability, tracing
+from ..obs import NULL_STAGE, Observability
 from .cycle_cache import CycleStateCache
 from .executor import FleetExecutor
 from .reliability import FleetHealth
@@ -54,12 +58,12 @@ class EngineConfig:
     Attributes
     ----------
     max_workers:
-        Worker bound for training and prediction fan-out; ``None``
-        sizes to the host, ``1`` forces the serial schedule.
+        Worker bound for the training fan-out; ``None`` sizes to the
+        host, ``1`` forces the serial schedule.
     executor:
-        ``"thread"`` (default) or ``"process"`` for the *training*
-        fan-out.  Prediction always fans out over threads because it
-        mutates live per-vehicle service state.
+        ``"thread"`` (default), ``"process"`` or ``"serial"`` for the
+        training fan-out.  Prediction always runs on the calling
+        thread, as one grouped batch.
     use_cycle_cache:
         Attach an incremental :class:`CycleStateCache` to the service.
     auto_refresh:
@@ -68,21 +72,12 @@ class EngineConfig:
         explicit :meth:`FleetEngine.refresh_models` calls or the
         lifecycle controller's evaluation-gated promotions — batch
         prediction then serves whatever champions are installed.
-    batched_predict:
-        Route batch prediction through the service's grouped compiled-
-        kernel path (:meth:`~repro.serving.service.
-        MaintenancePredictionService.predict_batch`): vehicles sharing
-        a model are stacked into one fused kernel call instead of one
-        tiny predict per vehicle.  Forecasts stay bit-identical to the
-        per-vehicle fan-out.  Resilient services (circuit breaker) and
-        injected prediction executors always use the per-vehicle path.
     """
 
     max_workers: int | None = None
     executor: str = "thread"
     use_cycle_cache: bool = True
     auto_refresh: bool = True
-    batched_predict: bool = True
 
     def __post_init__(self) -> None:
         if self.executor not in ("serial", "thread", "process"):
@@ -146,10 +141,10 @@ class FleetEngine:
     config:
         :class:`EngineConfig`; defaults to threads sized to the host
         with the cycle cache enabled.
-    training_executor / prediction_executor:
-        Optional :class:`FleetExecutor` overrides (the fault-injection
+    training_executor:
+        Optional :class:`FleetExecutor` override (the fault-injection
         harness substitutes a :class:`~repro.serving.faults.
-        FaultyExecutor` here); defaults are built from ``config``.
+        FaultyExecutor` here); the default is built from ``config``.
     """
 
     def __init__(
@@ -158,7 +153,6 @@ class FleetEngine:
         *,
         config: EngineConfig | None = None,
         training_executor: FleetExecutor | None = None,
-        prediction_executor: FleetExecutor | None = None,
         **service_kwargs,
     ):
         self.config = config or EngineConfig()
@@ -176,12 +170,10 @@ class FleetEngine:
             service.cycle_cache = CycleStateCache()
         self.service = service
         self._training_executor_override = training_executor
-        self._prediction_executor_override = prediction_executor
-        # Lazily-built persistent executors: FleetExecutor keeps one
-        # pool per instance now, so the engine must keep one instance
-        # per role instead of constructing a throwaway per call.
+        # Lazily-built persistent executor: FleetExecutor keeps one
+        # pool per instance, so the engine keeps one instance instead
+        # of constructing a throwaway per call.
         self._training_executor_cache: FleetExecutor | None = None
-        self._prediction_executor_cache: FleetExecutor | None = None
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self.obs: Observability | None = None
@@ -290,31 +282,15 @@ class FleetEngine:
             )
         return self._training_executor_cache
 
-    def _prediction_executor(self) -> FleetExecutor:
-        if self._prediction_executor_override is not None:
-            return self._prediction_executor_override
-        if self._prediction_executor_cache is None:
-            # Prediction mutates live per-vehicle state (pending
-            # forecasts, model caches), so it must stay in-process.
-            kind = "serial" if self.config.executor == "serial" else "thread"
-            self._prediction_executor_cache = FleetExecutor(
-                max_workers=self.config.max_workers, kind=kind
-            )
-        return self._prediction_executor_cache
-
     def close(self) -> None:
-        """Release the engine's persistent worker pools; idempotent.
+        """Release the engine's persistent worker pool; idempotent.
 
-        Override executors are owned by whoever passed them in and are
+        An override executor is owned by whoever passed it in and is
         left alone.  The engine itself stays usable for serial work,
         but a closed pool is never resurrected.
         """
-        for cache in (
-            self._training_executor_cache,
-            self._prediction_executor_cache,
-        ):
-            if cache is not None:
-                cache.close()
+        if self._training_executor_cache is not None:
+            self._training_executor_cache.close()
 
     # -- ingestion ---------------------------------------------------------
 
@@ -565,20 +541,6 @@ class FleetEngine:
 
     # -- prediction --------------------------------------------------------
 
-    def _use_batched(self) -> bool:
-        """Whether batch prediction may take the grouped kernel path.
-
-        Injected prediction executors (the fault harness) keep the
-        per-vehicle fan-out so their failure schedules still apply;
-        resilient services are gated inside ``predict_batch`` itself
-        but skipping here avoids even entering it.
-        """
-        return (
-            self.config.batched_predict
-            and self.service.breaker is None
-            and self._prediction_executor_override is None
-        )
-
     def _ready_ids(self) -> list[str]:
         service = self.service
         return [
@@ -590,127 +552,26 @@ class FleetEngine:
     def predict_all(self, *, skip_unready: bool = True) -> list[Forecast]:
         """Forecast the whole fleet from the latest ingested day.
 
-        Refreshes stale old-vehicle models (parallel), pre-warms the
-        shared unified model, then fans per-vehicle prediction out over
-        threads.  Forecasts come back sorted by vehicle id; vehicles
-        with fewer than ``window + 1`` observed days are skipped when
-        ``skip_unready`` (else the underlying ``ValueError`` surfaces).
+        Refreshes stale old-vehicle models (parallel), then serves the
+        fleet as one :meth:`~repro.serving.service.
+        MaintenancePredictionService.predict_batch`.  Forecasts come
+        back sorted by vehicle id; vehicles with fewer than
+        ``window + 1`` observed days are skipped when ``skip_unready``
+        (else the underlying ``ValueError`` surfaces).
         """
         with self._track_inflight():
+            if self.config.auto_refresh:
+                self._refresh_models()
             service = self.service
-            if self.config.auto_refresh:
-                self._refresh_models()
             ids = self._ready_ids() if skip_unready else service.vehicle_ids
-            if service.breaker is None and any(
-                service.category(vehicle_id) is VehicleCategory.NEW
-                for vehicle_id in ids
-            ):
-                # Train Model_Uni once before the fan-out; the per-call
-                # donor-set check then hits this cache read-only.  NEW
-                # vehicles are never donors, so exclude-self is a no-op.
-                # Resilient services skip the pre-warm so every unified
-                # attempt (and failure) is accounted on a vehicle's breaker.
-                service._ensure_unified_model()
-            if self._use_batched():
-                return service.predict_batch(ids)
-            return self._prediction_executor().map_ordered(service.predict, ids)
+            return service.predict_batch(ids)
 
-    def predict_many(
-        self,
-        vehicle_ids: Iterable[str],
-        *,
-        spans: list | None = None,
-    ) -> list[Forecast]:
-        """Batch-forecast a subset, in sorted vehicle order.
-
-        ``spans`` aligns one trace span (or ``None``) per id *in the
-        given order*: a micro-batch serves several requests with
-        different traces, so the gateway passes each request's root
-        span explicitly and each vehicle's ``service.predict`` call is
-        recorded as an ``engine.predict`` child of its own root.
-        Sorting is stable, so spans stay attached to their ids.
-        Tracing only records — forecasts are bit-identical with spans
-        on or off.
-
-        Worker threads never touch the span objects on the plain hot
-        path: they capture raw ``perf_counter`` pairs and the
-        dispatching thread materialises the child spans afterwards
-        (cross-thread traffic on shared spans costs ~10x the span
-        machinery itself under load).  Services with a circuit breaker
-        instead activate the span *inside* the worker so the Section-4
-        ladder's breaker/fallback events land on the trace.
-        """
+    def predict_many(self, vehicle_ids: Iterable[str]) -> list[Forecast]:
+        """Batch-forecast a subset, in sorted vehicle order."""
         with self._track_inflight():
             if self.config.auto_refresh:
                 self._refresh_models()
-            ids = list(vehicle_ids)
-            if spans is None or not any(s is not None for s in spans):
-                if self._use_batched():
-                    return self.service.predict_batch(sorted(ids))
-                return self._prediction_executor().map_ordered(
-                    self.service.predict, sorted(ids)
-                )
-            if len(spans) != len(ids):
-                raise ValueError(
-                    f"spans must align with vehicle_ids: "
-                    f"{len(spans)} != {len(ids)}."
-                )
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            jobs = [(ids[i], spans[i]) for i in order]
-            if self.service.breaker is not None:
-                return self._prediction_executor().map_ordered(
-                    self._predict_traced, jobs
-                )
-            if self._use_batched():
-                # One grouped kernel pass for the whole micro-batch;
-                # each request still gets its own engine.predict child
-                # span (spanning the shared batch window) so traces
-                # keep their per-vehicle attribution.
-                t0 = time.perf_counter()
-                forecasts = self.service.predict_batch(
-                    [vehicle_id for vehicle_id, _ in jobs]
-                )
-                t1 = time.perf_counter()
-                for vehicle_id, span in jobs:
-                    if span is not None:
-                        span.tracer.record_span(
-                            "engine.predict",
-                            span,
-                            t0,
-                            t1,
-                            vehicle_id=vehicle_id,
-                            batched=True,
-                        )
-                return forecasts
-            predict = self.service.predict
-            timings: list[tuple[float, float] | None] = [None] * len(jobs)
-
-            def timed(index: int) -> Forecast:
-                t0 = time.perf_counter()
-                forecast = predict(jobs[index][0])
-                timings[index] = (t0, time.perf_counter())
-                return forecast
-
-            forecasts = self._prediction_executor().map_ordered(
-                timed, range(len(jobs))
-            )
-            for (vehicle_id, span), timing in zip(jobs, timings):
-                if span is not None and timing is not None:
-                    span.tracer.record_span(
-                        "engine.predict",
-                        span,
-                        timing[0],
-                        timing[1],
-                        vehicle_id=vehicle_id,
-                    )
-            return forecasts
-
-    def _predict_traced(self, job: tuple) -> Forecast:
-        # Resilient path only: the active child span lets the strategy
-        # ladder attach breaker-open / rung-failed / fallback events.
-        vehicle_id, span = job
-        with tracing.child_span(span, "engine.predict", vehicle_id=vehicle_id):
-            return self.service.predict(vehicle_id)
+            return self.service.predict_batch(sorted(vehicle_ids))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -71,9 +71,10 @@ exactly one lane and behavior is unchanged.
 
 Every request is assigned a request id (client-supplied via the
 ``X-Repro-Request-Id`` header, else generated) that is echoed on the
-response and — when tracing is enabled — keys a structured trace
-spanning the whole serving path, down to the strategy ladder and model
-store.  Tracing only records; forecasts are bit-identical with it on
+response and — when tracing is enabled — keys a structured trace: the
+request's root span, its ``engine.predict`` share of the micro-batch
+and, for a degraded forecast, the ``fallback`` event naming the failed
+rungs.  Tracing only records; forecasts are bit-identical with it on
 or off, and the load bench pins its overhead below 5 %.
 """
 
@@ -741,15 +742,11 @@ class FleetGateway:
         started = self._loop.time()
         sharded = self._n_shards > 1
         if sharded:
-            # Span objects never cross the process boundary; the lane
-            # records one shard-labeled ``engine.predict`` child per
-            # traced request from the batch timings afterwards.
             call = partial(
                 self.engine.call_shard, lane.shard, "predict_many", ids
             )
         else:
-            spans = [r.span for r in live]
-            call = partial(self.engine.predict_many, ids, spans=spans)
+            call = partial(self.engine.predict_many, ids)
         try:
             forecasts = await self._loop.run_in_executor(lane.pool, call)
         except asyncio.CancelledError:
@@ -769,16 +766,29 @@ class FleetGateway:
                 finished - started,
                 shard=lane.shard if sharded else None,
             )
+            # One batch serves requests with different traces, and span
+            # objects never cross a thread or process boundary: each
+            # traced request gets its ``engine.predict`` child from the
+            # batch timing, and a degraded Forecast its ``fallback``
+            # event.
+            labels = {"shard": lane.shard} if sharded else {}
             for request, forecast in zip(live, forecasts):
-                if sharded and request.span is not None:
+                if request.span is not None:
                     request.span.tracer.record_span(
                         "engine.predict",
                         request.span,
                         started,
                         finished,
                         vehicle_id=request.vehicle_id,
-                        shard=lane.shard,
+                        **labels,
                     )
+                    if forecast.degraded:
+                        request.span.event(
+                            "fallback",
+                            vehicle_id=forecast.vehicle_id,
+                            strategy=forecast.strategy,
+                            fallback_reason=forecast.fallback_reason,
+                        )
                 if not request.future.done():
                     request.future.set_result(forecast)
 

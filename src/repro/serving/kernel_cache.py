@@ -1,28 +1,24 @@
-"""Scope-keyed cache of compiled inference kernels for the serving layer.
+"""Cache of compiled inference kernels for the serving layer.
 
 The service's Section-4 routing serves a handful of *shared* model
-identities — each old vehicle's champion, the fleet-wide ``Model_Uni``,
-one ``Model_Sim`` per similarity donor.  Flattening an ensemble into its
-:mod:`repro.learn.compiled` kernel costs a few milliseconds, so the
-batched predict path caches one compiled artifact per serving scope and
-revalidates it on every lookup against both the live model object
-(identity) and the scope's version token (store version, unified donor
-set, similarity key).  Either changing — lifecycle promotion, rollback,
-checkpoint restore, retrain, donor change — makes the next lookup a
-miss that recompiles against the new model; explicit
-:meth:`CompiledModelCache.invalidate` hooks cover the lifecycle paths
-that swap models without changing version numbers.
+objects — each old vehicle's champion, the fleet-wide ``Model_Uni``,
+one ``Model_Sim`` per similarity donor.  A kernel is a pure function of
+its model object, so the cache holds each kernel in a weak-key map on
+that object: lifecycle promotion, rollback, checkpoint restore, retrain
+and donor changes all install a *new* model object, whose first lookup
+is a miss, and a model the service lets go of takes its kernel with it.
 
 All counters mutate under one lock (the cycle cache's stats race taught
 that lesson); :meth:`stats` is the consolidated-metrics ``kernel``
-section: compile count/time, hit rate, and a rows-per-batch histogram
-in power-of-two buckets.
+section: compile count/time, hit rate, resident kernels, and a
+rows-per-batch histogram in power-of-two buckets.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from weakref import WeakKeyDictionary
 
 from ..learn.compiled import try_compile
 
@@ -30,17 +26,16 @@ __all__ = ["CompiledModelCache"]
 
 
 class CompiledModelCache:
-    """Compiled-kernel cache keyed by serving scope."""
+    """Compiled-kernel cache keyed weakly by model object."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        # scope -> (model id(), version token, compiled kernel | None).
-        # ``None`` kernels are cached too: an uncompilable model should
-        # not re-attempt compilation on every batch.
-        self._entries: dict[str, tuple[int, object, object | None]] = {}
+        # model -> compiled kernel | None.  ``None`` kernels are cached
+        # too: an uncompilable model should not re-attempt compilation
+        # on every batch.
+        self._kernels: WeakKeyDictionary = WeakKeyDictionary()
         self._hits = 0
         self._misses = 0
-        self._invalidations = 0
         self._compile_count = 0
         self._compile_seconds = 0.0
         self._batches = 0
@@ -48,23 +43,16 @@ class CompiledModelCache:
         self._max_rows = 0
         self._row_buckets: dict[str, int] = {}
 
-    def get(self, scope: str, model, version):
-        """The compiled kernel for ``model`` serving under ``scope``.
+    def get(self, model):
+        """The compiled kernel for ``model``.
 
-        ``version`` is the scope's freshness token (any equality-
-        comparable value).  Returns ``None`` when the model cannot be
-        compiled — callers fall back to the model's own ``predict``.
+        Returns ``None`` when the model cannot be compiled — callers
+        fall back to the model's own ``predict``.
         """
-        token = id(model)
         with self._lock:
-            entry = self._entries.get(scope)
-            if (
-                entry is not None
-                and entry[0] == token
-                and entry[1] == version
-            ):
+            if model in self._kernels:
                 self._hits += 1
-                return entry[2]
+                return self._kernels[model]
         started = time.perf_counter()
         compiled = try_compile(model)
         elapsed = time.perf_counter() - started
@@ -72,19 +60,8 @@ class CompiledModelCache:
             self._misses += 1
             self._compile_count += 1
             self._compile_seconds += elapsed
-            self._entries[scope] = (token, version, compiled)
+            self._kernels[model] = compiled
         return compiled
-
-    def invalidate(self, scope: str | None = None) -> int:
-        """Drop one scope's compiled kernel (or all of them)."""
-        with self._lock:
-            if scope is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                dropped = 1 if self._entries.pop(scope, None) is not None else 0
-            self._invalidations += dropped
-            return dropped
 
     def record_batch(self, rows: int) -> None:
         """Account one kernel call covering ``rows`` stacked vehicles."""
@@ -107,10 +84,9 @@ class CompiledModelCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "hit_rate": self._hits / lookups if lookups else 0.0,
-                "invalidations": self._invalidations,
                 "compile_count": self._compile_count,
                 "compile_seconds": self._compile_seconds,
-                "entries": len(self._entries),
+                "entries": len(self._kernels),
                 "batches": self._batches,
                 "batched_rows": self._batched_rows,
                 "mean_rows_per_batch": (

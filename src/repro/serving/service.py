@@ -186,6 +186,23 @@ class _VehicleState:
     )
 
 
+@dataclass(eq=False, slots=True)
+class _Plan:
+    """One vehicle's trip through the predict pipeline."""
+
+    vehicle_id: str
+    category: VehicleCategory
+    row: np.ndarray
+    usage_left: float
+    today: int
+    rungs: list[str]  # ladder rungs not tried yet, best first
+    reasons: list[str] = field(default_factory=list)  # per failed rung
+    model: object | None = None
+    strategy: str = "baseline"
+    donor_id: str | None = None
+    prediction: float = 0.0
+
+
 #: Audit-trail cap for :attr:`MaintenancePredictionService.lifecycle_log`.
 _LIFECYCLE_LOG_LIMIT = 512
 
@@ -305,8 +322,8 @@ class MaintenancePredictionService:
         self._vehicles: dict[str, _VehicleState] = {}
         self._unified_model = None
         self._unified_trained_on: frozenset[str] = frozenset()
-        #: Compiled-kernel cache for the batched predict path, keyed by
-        #: serving scope with version-token invalidation.
+        #: Compiled kernels of the models being served, keyed weakly by
+        #: model object.
         self.kernel_cache = CompiledModelCache()
         # Shared fitted Model_Sim per donor: every semi-new vehicle with
         # the same (deterministically trained) donor serves the same
@@ -737,11 +754,6 @@ class MaintenancePredictionService:
         state.model_trained_cycles = int(trained_cycles)
         state.model_version = None if version is None else int(version)
         state.model = predictor
-        # The old champion's compiled kernel must never serve the new
-        # model (identity/version checks would catch it on lookup, but
-        # dropping the entry keeps the cache from pinning the old
-        # model's flattened tables in memory).
-        self.kernel_cache.invalidate(f"{vehicle_id}:per-vehicle")
 
     def apply_lifecycle_event(
         self,
@@ -870,266 +882,196 @@ class MaintenancePredictionService:
     def _count_fallback(self, vehicle_id: str, strategy: str) -> None:
         self._fallback_counts.setdefault(vehicle_id, Counter())[strategy] += 1
 
-    def _predict_resilient(
-        self, vehicle_id: str, category: VehicleCategory, row: np.ndarray
-    ) -> tuple[float, str, str | None, str | None]:
-        """Walk the Section-4 ladder under the circuit breaker.
-
-        Returns ``(prediction, strategy, donor_id, fallback_reason)``;
-        the reason is ``None`` when the primary routing succeeded (a
-        donor-less baseline is normal routing, not degradation).
-        """
-        reasons: list[str] = []
-        for strategy in _STRATEGY_LADDER[category]:
-            key = f"{vehicle_id}:{strategy}"
-            if not self.breaker.allow(key):
-                reasons.append(f"{strategy}: circuit open")
-                tracing.add_event(
-                    "breaker-open", vehicle_id=vehicle_id, strategy=strategy
-                )
-                continue
-            try:
-                model, donor_id = self._attempt_strategy(strategy, vehicle_id)
-                if model is None:
-                    continue  # no donors available: normal routing
-                prediction = float(max(model.predict(row)[0], 0.0))
-            except Exception as exc:
-                self.breaker.record_failure(key)
-                reasons.append(f"{strategy}: {type(exc).__name__}: {exc}")
-                tracing.add_event(
-                    "rung-failed",
-                    vehicle_id=vehicle_id,
-                    strategy=strategy,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            self.breaker.record_success(key)
-            reason = "; ".join(reasons) or None
-            if reasons:
-                self._count_fallback(vehicle_id, strategy)
-                tracing.add_event(
-                    "fallback",
-                    vehicle_id=vehicle_id,
-                    strategy=strategy,
-                    fallback_reason=reason,
-                )
-            return prediction, strategy, donor_id, reason
-        baseline = self._baseline_model(vehicle_id)
-        prediction = float(max(baseline.predict(row)[0], 0.0))
-        reason = "; ".join(reasons) or None
-        if reason is not None:
-            self._count_fallback(vehicle_id, "baseline")
-            tracing.add_event(
-                "fallback",
-                vehicle_id=vehicle_id,
-                strategy="baseline",
-                fallback_reason=reason,
-            )
-        return prediction, "baseline", None, reason
-
     def predict(self, vehicle_id: str) -> Forecast:
         """Forecast days to next maintenance from the latest ingested day.
 
         With a :attr:`breaker`, any failing rung of the Section-4 ladder
         steps down to the next one (ending at the Eq. 5-6 baseline) and
         the forecast is flagged ``degraded`` with the reason; without
-        one, a rung failure raises as before.
+        one, a rung failure raises.
         """
-        # No dedicated span here: the engine's ``engine.predict`` child
-        # already times this boundary, and when a span is active in
-        # this context (resilient services, direct calls) the stage
-        # timer stamps a ``stage_ms:predict`` attribute onto it — a
-        # second span per request would only cost hot-path
-        # microseconds (the gateway bench holds tracing to < 5%
-        # throughput).
-        with self._stage("predict", vehicle_id=vehicle_id):
-            return self._predict(vehicle_id)
+        return self.predict_batch([vehicle_id])[0]
 
-    def _predict(self, vehicle_id: str) -> Forecast:
+    def predict_batch(self, vehicle_ids: list[str]) -> list[Forecast]:
+        """Forecast many vehicles through shared compiled kernels.
+
+        The only prediction path, in four steps:
+
+        1. **plan** each vehicle's feature row, in input order;
+        2. **route** it down its Section-4 ladder (same training, same
+           model caches, in input order) to the first rung that yields
+           a model — without a breaker that is the first rung, and its
+           failures raise;
+        3. **execute** one kernel call per shared model object (kernels
+           flagged not batch-safe — linear matvecs — and uncompilable
+           models run row-at-a-time).  On a resilient service a
+           vehicle whose predict call fails steps down to its next rung
+           and runs again;
+        4. **record** pending forecasts and build the
+           :class:`Forecast` objects in input order.
+
+        Grouping is sound because tree-ensemble kernels are pure
+        gathers plus row-separable elementwise aggregation — row ``i``
+        of a stacked batch is bitwise the single-row prediction.
+        """
+        ids = list(vehicle_ids)
+        with self._stage("predict", vehicles=len(ids)):
+            plans = [self._plan(vehicle_id) for vehicle_id in ids]
+            todo = plans
+            while todo:
+                todo = self._execute(todo)
+            return [self._record(plan) for plan in plans]
+
+    def _plan(self, vehicle_id: str) -> _Plan:
         series = self.series(vehicle_id)
         if series.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
         category = self.category(vehicle_id)
         with self._stage("feature-build", vehicle_id=vehicle_id):
             row, usage_left, today = self._feature_row(series)
+        rungs = list(_STRATEGY_LADDER[category])
+        if self.breaker is None:
+            del rungs[1:]  # the Section-4 pick answers (or raises)
+        plan = _Plan(vehicle_id, category, row, usage_left, today, rungs)
+        self._route(plan)
+        return plan
 
-        if self.breaker is not None:
-            prediction, strategy, donor_id, reason = self._predict_resilient(
-                vehicle_id, category, row
+    def _route(self, plan: _Plan) -> None:
+        """Point ``plan`` at its first remaining rung that yields a model.
+
+        A rung without donors is normal routing, not degradation; with
+        no rung left the plan lands on the Eq. 5-6 baseline.  Under a
+        breaker, an open circuit or a training failure is recorded and
+        stepped over.
+        """
+        breaker = self.breaker
+        vehicle_id = plan.vehicle_id
+        while plan.rungs:
+            strategy = plan.rungs.pop(0)
+            if breaker is None:
+                model, donor_id = self._attempt_strategy(strategy, vehicle_id)
+            elif not breaker.allow(f"{vehicle_id}:{strategy}"):
+                plan.reasons.append(f"{strategy}: circuit open")
+                tracing.add_event(
+                    "breaker-open", vehicle_id=vehicle_id, strategy=strategy
+                )
+                continue
+            else:
+                try:
+                    model, donor_id = self._attempt_strategy(
+                        strategy, vehicle_id
+                    )
+                except Exception as exc:
+                    self._rung_failed(plan, strategy, exc)
+                    continue
+            if model is not None:
+                plan.model, plan.strategy, plan.donor_id = (
+                    model, strategy, donor_id
+                )
+                return
+        plan.model = self._baseline_model(vehicle_id)
+        plan.strategy, plan.donor_id = "baseline", None
+
+    def _rung_failed(self, plan: _Plan, strategy: str, exc: Exception) -> None:
+        self.breaker.record_failure(f"{plan.vehicle_id}:{strategy}")
+        error = f"{type(exc).__name__}: {exc}"
+        plan.reasons.append(f"{strategy}: {error}")
+        tracing.add_event(
+            "rung-failed",
+            vehicle_id=plan.vehicle_id,
+            strategy=strategy,
+            error=error,
+        )
+
+    def _execute(self, plans: list[_Plan]) -> list[_Plan]:
+        """Predict every plan, one kernel call per shared model object.
+
+        Returns the plans whose predict call failed on a resilient
+        service, already routed to their next rung.
+        """
+        groups: dict[int, list[_Plan]] = {}
+        for plan in plans:
+            groups.setdefault(id(plan.model), []).append(plan)
+        breaker = self.breaker
+        retry: list[_Plan] = []
+        for group in groups.values():
+            model = group[0].model
+            # Baselines are fitted per call: a cached kernel would
+            # never be hit again.
+            kernel = (
+                None
+                if group[0].strategy == "baseline"
+                else self.kernel_cache.get(model)
             )
-        else:
-            donor_id = None
-            if category is VehicleCategory.OLD:
-                model = self._ensure_vehicle_model(vehicle_id)
-                strategy = "per-vehicle"
-            elif category is VehicleCategory.SEMI_NEW:
-                model, donor_id = self._similarity_model(vehicle_id)
-                strategy = "similarity"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-            else:  # NEW
-                model = self._ensure_unified_model(exclude=vehicle_id)
-                strategy = "unified"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-            prediction = float(max(model.predict(row)[0], 0.0))
-            reason = None
+            if kernel is not None and kernel.batch_safe and len(group) > 1:
+                calls = [group]
+            else:
+                calls = [[plan] for plan in group]
+            for call in calls:
+                try:
+                    out = self._kernel_call(model, kernel, call)
+                except Exception as exc:
+                    if breaker is None or call[0].strategy == "baseline":
+                        raise
+                    for plan in call:
+                        self._rung_failed(plan, plan.strategy, exc)
+                        self._route(plan)
+                    retry.extend(call)
+                    continue
+                for plan, value in zip(call, out):
+                    plan.prediction = float(max(value, 0.0))
+                    if breaker is not None and plan.strategy != "baseline":
+                        breaker.record_success(
+                            f"{plan.vehicle_id}:{plan.strategy}"
+                        )
+        return retry
 
+    def _kernel_call(self, model, kernel, plans: list[_Plan]) -> np.ndarray:
+        if kernel is None:
+            # Uncompilable model: its own predict, minus the per-call
+            # validation when it trusts its input.
+            row = plans[0].row
+            if getattr(model, "trusted_predict", False):
+                return model.predict(row, validate=False)
+            return model.predict(row)
+        if len(plans) == 1:
+            X = plans[0].row
+        else:
+            X = np.concatenate([plan.row for plan in plans], axis=0)
+        out = kernel.predict(X)
+        self.kernel_cache.record_batch(len(plans))
+        return out
+
+    def _record(self, plan: _Plan) -> Forecast:
+        vehicle_id, strategy = plan.vehicle_id, plan.strategy
         state = self._state(vehicle_id)
-        state.pending.append((today, prediction, strategy))
+        if self.monitor is not None:
+            # Only the monitor drains pending forecasts (see
+            # _resolve_forecasts); without one they would pile up.
+            state.pending.append((plan.today, plan.prediction, strategy))
+        reason = "; ".join(plan.reasons) or None
+        if reason is not None:
+            self._count_fallback(vehicle_id, strategy)
+            tracing.add_event(
+                "fallback",
+                vehicle_id=vehicle_id,
+                strategy=strategy,
+                fallback_reason=reason,
+            )
         return Forecast(
             vehicle_id=vehicle_id,
-            category=category,
+            category=plan.category,
             strategy=strategy,
-            days_to_maintenance=prediction,
-            usage_left=usage_left,
-            as_of_day=today,
-            donor_id=donor_id,
+            days_to_maintenance=plan.prediction,
+            usage_left=plan.usage_left,
+            as_of_day=plan.today,
+            donor_id=plan.donor_id,
             degraded=reason is not None,
             fallback_reason=reason,
             model_version=(
                 state.model_version if strategy == "per-vehicle" else None
             ),
         )
-
-    def predict_batch(self, vehicle_ids: list[str]) -> list[Forecast]:
-        """Forecast many vehicles through shared compiled kernels.
-
-        Three phases, bit-identical to calling :meth:`predict` per id:
-
-        1. route every vehicle through the Section-4 matrix exactly as
-           the serial path does (same training, same model caches, in
-           the given order);
-        2. group vehicles by the *model object* they resolved to, fetch
-           that model's compiled kernel from :attr:`kernel_cache`, and
-           run one stacked kernel call per group (kernels flagged not
-           batch-safe — linear matvecs — run row-at-a-time through the
-           same kernel; uncompilable models fall back to their own
-           trusted ``predict``);
-        3. record pending forecasts and build the :class:`Forecast`
-           objects in input order.
-
-        Grouping is sound because tree-ensemble kernels are pure
-        gathers plus row-separable elementwise aggregation — row ``i``
-        of a stacked batch is bitwise the single-row prediction.
-        Resilient services (with a circuit breaker) fall back to
-        per-vehicle :meth:`predict` so ladder accounting is unchanged.
-        """
-        ids = list(vehicle_ids)
-        if self.breaker is not None:
-            return [self.predict(vehicle_id) for vehicle_id in ids]
-        with self._stage("predict", vehicles=len(ids)):
-            return self._predict_batch(ids)
-
-    def _predict_batch(self, ids: list[str]) -> list[Forecast]:
-        # Phase 1: serial Section-4 routing (models trained/cached in
-        # input order, exactly like consecutive predict() calls).
-        plans = []
-        for vehicle_id in ids:
-            series = self.series(vehicle_id)
-            if series.n_days == 0:
-                raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
-            category = self.category(vehicle_id)
-            with self._stage("feature-build", vehicle_id=vehicle_id):
-                row, usage_left, today = self._feature_row(series)
-            donor_id = None
-            scope = None  # (cache scope, version token); None = uncached
-            if category is VehicleCategory.OLD:
-                model = self._ensure_vehicle_model(vehicle_id)
-                strategy = "per-vehicle"
-                scope = (
-                    f"{vehicle_id}:per-vehicle",
-                    self._state(vehicle_id).model_version,
-                )
-            elif category is VehicleCategory.SEMI_NEW:
-                model, donor_id = self._similarity_model(vehicle_id)
-                strategy = "similarity"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-                else:
-                    scope = (
-                        f"sim:{donor_id}",
-                        self._state(vehicle_id).sim_key,
-                    )
-            else:  # NEW
-                model = self._ensure_unified_model(exclude=vehicle_id)
-                strategy = "unified"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-                else:
-                    scope = ("fleet:unified", self._unified_trained_on)
-            plans.append(
-                (vehicle_id, row, usage_left, today, category, model,
-                 strategy, donor_id, scope)
-            )
-
-        # Phase 2: one kernel call per shared model identity.
-        predictions: list[float | None] = [None] * len(plans)
-        groups: dict[int, list[int]] = {}
-        for index, plan in enumerate(plans):
-            groups.setdefault(id(plan[5]), []).append(index)
-        for indices in groups.values():
-            model = plans[indices[0]][5]
-            scope = plans[indices[0]][8]
-            compiled = (
-                self.kernel_cache.get(scope[0], model, scope[1])
-                if scope is not None
-                else None
-            )
-            if compiled is not None and compiled.batch_safe and len(indices) > 1:
-                X = np.concatenate([plans[i][1] for i in indices], axis=0)
-                out = compiled.predict(X)
-                self.kernel_cache.record_batch(len(indices))
-                for position, i in enumerate(indices):
-                    predictions[i] = float(max(out[position], 0.0))
-            elif compiled is not None:
-                # Not batch-safe (linear matvec) or a single row: the
-                # compiled kernel still skips per-call validation.
-                for i in indices:
-                    out = compiled.predict(plans[i][1])
-                    self.kernel_cache.record_batch(1)
-                    predictions[i] = float(max(out[0], 0.0))
-            else:
-                trusted = getattr(model, "trusted_predict", False)
-                for i in indices:
-                    row = plans[i][1]
-                    out = (
-                        model.predict(row, validate=False)
-                        if trusted
-                        else model.predict(row)
-                    )
-                    predictions[i] = float(max(out[0], 0.0))
-
-        # Phase 3: bookkeeping and Forecast construction, input order.
-        forecasts = []
-        for plan, prediction in zip(plans, predictions):
-            vehicle_id, _, usage_left, today, category = plan[:5]
-            strategy, donor_id = plan[6], plan[7]
-            state = self._state(vehicle_id)
-            state.pending.append((today, prediction, strategy))
-            forecasts.append(
-                Forecast(
-                    vehicle_id=vehicle_id,
-                    category=category,
-                    strategy=strategy,
-                    days_to_maintenance=prediction,
-                    usage_left=usage_left,
-                    as_of_day=today,
-                    donor_id=donor_id,
-                    degraded=False,
-                    fallback_reason=None,
-                    model_version=(
-                        state.model_version
-                        if strategy == "per-vehicle"
-                        else None
-                    ),
-                )
-            )
-        return forecasts
 
     # -- health ----------------------------------------------------------------
 
@@ -1293,9 +1235,6 @@ class MaintenancePredictionService:
         self._unified_model = None
         self._unified_trained_on = frozenset()
         self._sim_donor_models.clear()
-        # Restored states may pin different model versions than the
-        # ones that were serving: every compiled kernel is stale.
-        self.kernel_cache.invalidate()
         if self.cycle_cache is not None:
             self.cycle_cache.invalidate()
 

@@ -1,5 +1,7 @@
 """Unit and scenario tests for the online prediction service."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,17 @@ class TestModelLifecycle:
 
 
 class TestFeedbackLoop:
+    def test_reads_without_monitor_do_not_grow_state(self):
+        """Only a drift monitor drains pending forecasts, so without
+        one a read records nothing."""
+        service = steady_service()
+        service.register_vehicle("v01")
+        service.ingest_series("v01", [20_000.0] * 25)
+        size = len(json.dumps(service.state_dict()))
+        for _ in range(1_000):
+            service.predict("v01")
+        assert len(json.dumps(service.state_dict())) == size
+
     def test_resolved_forecasts_feed_monitor(self):
         monitor = DriftMonitor(min_samples=1)
         service = steady_service(monitor=monitor)
